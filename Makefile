@@ -1,8 +1,8 @@
 # CI entry points. `make ci` is what .github/workflows/ci.yml runs:
-# vet, build, the full test suite under the race detector, the
+# gofmt, vet, build, the full test suite under the race detector, the
 # benchmark regression check against the committed BENCH_10.json record,
 # the fault-campaign, record/replay, fleet control-plane, decision-trace,
-# chaos/kill-restore, cross-engine golden-equivalence, scenario-
+# chaos/kill-restore, engine golden-equivalence, scenario-
 # generator and telemetry-pipeline smoke tests, and — when the tools
 # are on PATH — staticcheck and govulncheck.
 
@@ -13,9 +13,13 @@ GO ?= go
 # allocs/op visible without paying for statistically stable timings.
 MICROBENCH = $(GO) test -run='^$$' -bench='BenchmarkOptimize|BenchmarkControllerCycle|BenchmarkNewFrontier' -benchtime=1x ./internal/core/...
 
-.PHONY: ci vet build test race bench bench-check bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
+.PHONY: ci fmt vet build test race bench bench-check bench-campaign smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln fuzz
 
-ci: vet build race bench-check smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
+ci: fmt vet build race bench-check smoke-faults smoke-replay smoke-fleet smoke-trace smoke-chaos smoke-event smoke-gen smoke-telemetry lint vuln
+
+# Every Go file is gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -80,11 +84,13 @@ smoke-trace:
 smoke-chaos:
 	$(GO) test -count=1 -race -run='TestKillRestore|TestFleetKillRestoreGolden|TestFleetChaosRecovery' ./internal/experiment/ ./internal/fleet/
 
-# Cross-engine golden equivalence, under the race detector: the
-# event-queue core against the fixed-timestep compatibility core on
-# controller, governor, fault-injected and full-rate-traced cells
-# (summary JSON, allocation logs, traces — all byte-identical), plus the
-# randomized engine storms and event-queue ordering property tests.
+# Engine golden equivalence, under the race detector: sessions on the
+# event core's closed-form spans against the same sessions walked one
+# Phone.Step at a time (controller, governor and fault-injected cells;
+# summary JSON and allocation logs byte-identical), the randomized actor
+# storms and interrupt polls against the test-only reference loop
+# (device state, Stats and one storm's full-rate trace), and the
+# event-queue ordering property tests.
 smoke-event:
 	$(GO) test -count=1 -race -run='TestEngineEquivalence|TestCrossBackendStormBitIdentity|TestEventQueue|TestInterruptBoundaryParity' ./internal/experiment/ ./internal/sim/
 

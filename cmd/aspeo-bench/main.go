@@ -15,7 +15,6 @@
 //
 //	aspeo-bench -out BENCH_6.json          # write the tracked record
 //	aspeo-bench -check BENCH_6.json        # fail on >10% regression
-//	aspeo-bench -no-fusion -out before.json  # pre-optimization baseline
 //	aspeo-bench -cpuprofile cpu.pprof -out /dev/null
 package main
 
@@ -56,8 +55,6 @@ func run() int {
 		fleetN     = flag.Int("fleet", 256, "fleet-slice session count (0 skips the fleet scenario)")
 		genN       = flag.Int("gen", 64, "generated-population session count (0 skips the scenario)")
 		seed       = flag.Int64("seed", 101, "base simulation seed")
-		engineName = flag.String("engine", "event", "simulation core for the standard cells: event or fixed (the idle scenarios always run both)")
-		noFusion   = flag.Bool("no-fusion", false, "disable the simulator's K-step fused fast path (pre-optimization comparison)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this path")
 		memprofile = flag.String("memprofile", "", "write a heap profile (taken after the suite) to this path")
 	)
@@ -65,15 +62,6 @@ func run() int {
 	if *out == "" && *check == "" {
 		fmt.Fprintln(os.Stderr, "aspeo-bench: nothing to do: pass -out and/or -check")
 		return 2
-	}
-	backend, err := sim.ParseBackend(*engineName)
-	if err != nil {
-		return fatal("%v", err)
-	}
-	if *noFusion {
-		// The phone reads this at construction, so one setting covers
-		// both the direct cells and every fleet session.
-		os.Setenv("ASPEO_NO_FUSION", "1")
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -87,7 +75,7 @@ func run() int {
 	}
 
 	logf("calibrating machine speed...")
-	rec := benchrec.New(!*noFusion)
+	rec := benchrec.New()
 	rec.CalibScore = benchrec.Calibrate()
 	logf("calibration score %.1f iters/us", rec.CalibScore)
 
@@ -123,7 +111,7 @@ func run() int {
 	for _, spec := range apps {
 		for _, load := range loads {
 			p := preps[spec.Name+"/"+load.String()]
-			sc, err := runApp(spec, load, p.tab, p.target, *seed, backend, "controller", 0)
+			sc, err := runApp(spec, load, p.tab, p.target, *seed, "controller", 0)
 			if err != nil {
 				return fatal("%s/%s: %v", spec.Name, load, err)
 			}
@@ -133,10 +121,8 @@ func run() int {
 	}
 
 	// Idle-dominated wall-time cells: hour-scale σ=0 sessions where the
-	// event core's closed-form spans dominate. These always run on BOTH
-	// backends — the pair is the tracked record of the event engine's
-	// wall-time advantage (and Compare's geomean gate keeps the ratio
-	// from silently eroding).
+	// event core's closed-form spans dominate (Compare's geomean gate
+	// keeps their throughput from silently eroding).
 	for _, spec := range []*workload.Spec{workload.SpotifyIdle(), workload.EBookIdle()} {
 		load := workload.NoLoad
 		tab, err := exp.Profile(spec, load, profile.Coordinated)
@@ -149,18 +135,15 @@ func run() int {
 		}
 		// Screen-off sessions doze: the controller re-decides every 30 s
 		// instead of every 200 ms quantum (the workload is σ=0 constant,
-		// so nothing changes between decisions). The actor cadence, not
-		// the stepping, is then the engines' only difference: the event
-		// core folds each 30 s quiescent interval in closed form while
-		// the fixed core still walks it step by step.
-		for _, be := range []sim.Backend{sim.BackendEvent, sim.BackendFixed} {
-			sc, err := runApp(spec, load, tab, def.GIPS, *seed, be, "controller-"+be.String(), 30*time.Second)
-			if err != nil {
-				return fatal("%s/%s/%s: %v", spec.Name, load, be, err)
-			}
-			logScenario(sc)
-			rec.Scenarios = append(rec.Scenarios, sc)
+		// so nothing changes between decisions), and the event core folds
+		// each 30 s quiescent interval in closed form. The "-event" suffix
+		// keeps the cell names of the committed baseline record.
+		sc, err := runApp(spec, load, tab, def.GIPS, *seed, "controller-event", 30*time.Second)
+		if err != nil {
+			return fatal("%s/%s: %v", spec.Name, load, err)
 		}
+		logScenario(sc)
+		rec.Scenarios = append(rec.Scenarios, sc)
 	}
 	if *fleetN > 0 {
 		tables := make(map[string]*profile.Table, len(apps))
@@ -169,7 +152,7 @@ func run() int {
 			p := preps[spec.Name+"/BL"]
 			tables[spec.Name], targets[spec.Name] = p.tab, p.target
 		}
-		sc, err := runFleet(*fleetN, apps, tables, targets, *seed, *engineName, false)
+		sc, err := runFleet(*fleetN, apps, tables, targets, *seed, false)
 		if err != nil {
 			return fatal("fleet: %v", err)
 		}
@@ -181,7 +164,7 @@ func run() int {
 		// stream subscriber. Its gates hold the pipeline to its promise:
 		// cycles/sec and allocs/cycle indistinguishable from the
 		// unobserved slice.
-		scT, err := runFleet(*fleetN, apps, tables, targets, *seed, *engineName, true)
+		scT, err := runFleet(*fleetN, apps, tables, targets, *seed, true)
 		if err != nil {
 			return fatal("fleet-telemetry: %v", err)
 		}
@@ -189,7 +172,7 @@ func run() int {
 		rec.Scenarios = append(rec.Scenarios, scT)
 	}
 	if *genN > 0 {
-		sc, err := runGenerated(*genN, *seed, *engineName)
+		sc, err := runGenerated(*genN, *seed)
 		if err != nil {
 			return fatal("generated: %v", err)
 		}
@@ -235,9 +218,9 @@ func run() int {
 }
 
 // latencyBounds are the Dist bucket upper bounds for per-cycle wall
-// latency, in milliseconds: exponential from 5 µs to ~2 s (a fused
-// cycle simulates 2 device seconds in well under a millisecond; the
-// top bound leaves room for unfused runs on slow machines).
+// latency, in milliseconds: exponential from 5 µs to ~2 s (a cycle
+// simulates 2 device seconds in well under a millisecond; the top bound
+// leaves room for slow machines).
 func latencyBounds() []float64 {
 	var b []float64
 	for v := 0.005; v < 2000; v *= 1.25 {
@@ -262,11 +245,11 @@ const (
 // table. Best-of-N over identical runs; the allocation count takes the
 // minimum across iterations (allocations are a property of the code
 // path, and the minimum strips incidental runtime noise).
-func runApp(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, target float64, seed int64, be sim.Backend, variant string, doze time.Duration) (benchrec.Scenario, error) {
+func runApp(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, target float64, seed int64, variant string, doze time.Duration) (benchrec.Scenario, error) {
 	var sc benchrec.Scenario
 	var total time.Duration
 	for i := 0; i < maxScenarioIters && (i == 0 || total < minScenarioWall); i++ {
-		one, err := runAppOnce(spec, load, tab, target, seed, be, variant, doze)
+		one, err := runAppOnce(spec, load, tab, target, seed, variant, doze)
 		if err != nil {
 			return sc, err
 		}
@@ -286,7 +269,7 @@ func runApp(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, targe
 	return sc, nil
 }
 
-func runAppOnce(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, target float64, seed int64, be sim.Backend, variant string, doze time.Duration) (benchrec.Scenario, error) {
+func runAppOnce(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, target float64, seed int64, variant string, doze time.Duration) (benchrec.Scenario, error) {
 	var sc benchrec.Scenario
 	sc.Name = spec.Name + "/" + load.String() + "/" + variant
 	ph, err := sim.NewPhone(sim.Config{
@@ -296,7 +279,7 @@ func runAppOnce(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, t
 	if err != nil {
 		return sc, err
 	}
-	eng := sim.NewEngineOpts(ph, sim.Options{Backend: be})
+	eng := sim.NewEngine(ph)
 	opts := core.DefaultOptions(tab, target)
 	opts.Seed = seed
 	if doze > 0 {
@@ -349,13 +332,13 @@ func runAppOnce(spec *workload.Spec, load workload.BGLoad, tab *profile.Table, t
 // plane's end-to-end throughput, not a single cell's. Best of two:
 // concurrent schedules are where machine noise bites hardest.
 func runFleet(n int, apps []*workload.Spec, tables map[string]*profile.Table,
-	targets map[string]float64, seed int64, engine string, telemetry bool) (benchrec.Scenario, error) {
+	targets map[string]float64, seed int64, telemetry bool) (benchrec.Scenario, error) {
 
-	sc, err := runFleetOnce(n, apps, tables, targets, seed, engine, telemetry)
+	sc, err := runFleetOnce(n, apps, tables, targets, seed, telemetry)
 	if err != nil {
 		return sc, err
 	}
-	again, err := runFleetOnce(n, apps, tables, targets, seed, engine, telemetry)
+	again, err := runFleetOnce(n, apps, tables, targets, seed, telemetry)
 	if err != nil {
 		return sc, err
 	}
@@ -371,7 +354,7 @@ func runFleet(n int, apps []*workload.Spec, tables map[string]*profile.Table,
 }
 
 func runFleetOnce(n int, apps []*workload.Spec, tables map[string]*profile.Table,
-	targets map[string]float64, seed int64, engine string, telemetry bool) (benchrec.Scenario, error) {
+	targets map[string]float64, seed int64, telemetry bool) (benchrec.Scenario, error) {
 
 	var sc benchrec.Scenario
 	sc.Name = fmt.Sprintf("fleet-%d", n)
@@ -452,7 +435,7 @@ func runFleetOnce(n int, apps []*workload.Spec, tables map[string]*profile.Table
 		cfg := fleet.Config{
 			App: app.Name, Controller: true,
 			Profile: paths[app.Name], TargetGIPS: targets[app.Name],
-			Seed: seed + int64(i), RunForS: 60, Engine: engine,
+			Seed: seed + int64(i), RunForS: 60,
 		}
 		if telemetry {
 			cfg.Cohort = cohorts[i%len(cohorts)]
@@ -512,7 +495,7 @@ func runFleetOnce(n int, apps []*workload.Spec, tables map[string]*profile.Table
 // chain workloads have no stored tables anyway). The measurement
 // covers compilation, submission and the runs; with zero control
 // cycles the cell gates only on the sim/wall geomean.
-func runGenerated(n int, seed int64, engine string) (benchrec.Scenario, error) {
+func runGenerated(n int, seed int64) (benchrec.Scenario, error) {
 	var sc benchrec.Scenario
 	sc.Name = fmt.Sprintf("generated-%d", n)
 	spec := &scenario.Spec{
@@ -528,7 +511,6 @@ func runGenerated(n int, seed int64, engine string) (benchrec.Scenario, error) {
 				Apps:    []string{"spotify", "ebook", "angrybirds"},
 				Chain:   &scenario.Chain{Length: 3, DwellS: 10, DwellJitter: 0.3},
 				Loads:   map[string]float64{"BL": 0.7, "HL": 0.3},
-				Engine:  engine,
 				RunForS: 30,
 				AdStorm: &scenario.AdStorm{PeriodS: 20, BurstS: 2, GIPS: 0.3},
 			},
@@ -536,7 +518,6 @@ func runGenerated(n int, seed int64, engine string) (benchrec.Scenario, error) {
 				Name: "readers", Weight: 0.4,
 				Apps:    []string{"ebook"},
 				Perturb: &scenario.Perturb{DemandSigma: 0.25, DurationSigma: 0.2},
-				Engine:  engine,
 				RunForS: 30,
 			},
 		},

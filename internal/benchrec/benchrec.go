@@ -61,10 +61,6 @@ type Scenario struct {
 type Record struct {
 	SchemaVersion int    `json:"schema"`
 	GoVersion     string `json:"go_version"`
-	// Fusion records whether the simulator's K-step fused fast path was
-	// enabled; Compare refuses to diff records taken on different
-	// settings.
-	Fusion bool `json:"fusion"`
 	// CalibScore is the machine-speed proxy: iterations/µs of the fixed
 	// Calibrate kernel on the machine that produced the record.
 	CalibScore float64    `json:"calibration_score"`
@@ -72,8 +68,8 @@ type Record struct {
 }
 
 // New returns a Record stamped with the current schema and toolchain.
-func New(fusion bool) *Record {
-	return &Record{SchemaVersion: Schema, GoVersion: runtime.Version(), Fusion: fusion}
+func New() *Record {
+	return &Record{SchemaVersion: Schema, GoVersion: runtime.Version()}
 }
 
 // Find returns the named scenario, or nil.
@@ -170,15 +166,11 @@ const allocSlack = 0.5
 // even after calibration normalization; the geomean over the whole
 // suite averages that noise out while still catching a real hot-path
 // regression, which slows every scenario at once. Records from
-// different schemas or fusion settings are an error, not a comparison.
+// different schemas are an error, not a comparison.
 func Compare(base, cur *Record, tol float64) ([]Regression, error) {
 	if base.SchemaVersion != cur.SchemaVersion {
 		return nil, fmt.Errorf("benchrec: schema mismatch: baseline v%d vs current v%d",
 			base.SchemaVersion, cur.SchemaVersion)
-	}
-	if base.Fusion != cur.Fusion {
-		return nil, fmt.Errorf("benchrec: fusion mismatch: baseline fusion=%v vs current fusion=%v",
-			base.Fusion, cur.Fusion)
 	}
 	if base.CalibScore <= 0 || cur.CalibScore <= 0 {
 		return nil, fmt.Errorf("benchrec: non-positive calibration score (baseline %v, current %v)",

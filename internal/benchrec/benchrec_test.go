@@ -7,7 +7,7 @@ import (
 )
 
 func record(calib float64, scenarios ...Scenario) *Record {
-	r := New(true)
+	r := New()
 	r.CalibScore = calib
 	r.Scenarios = scenarios
 	return r
@@ -122,11 +122,6 @@ func TestCompareMissingScenario(t *testing.T) {
 
 func TestCompareRefusesMismatchedRecords(t *testing.T) {
 	base := record(10, scenario("s", 1000, 5000, 1))
-	fus := record(10, scenario("s", 1000, 5000, 1))
-	fus.Fusion = false
-	if _, err := Compare(base, fus, 0.10); err == nil || !strings.Contains(err.Error(), "fusion") {
-		t.Fatalf("fusion mismatch not refused: %v", err)
-	}
 	v2 := record(10, scenario("s", 1000, 5000, 1))
 	v2.SchemaVersion = Schema + 1
 	if _, err := Compare(base, v2, 0.10); err == nil || !strings.Contains(err.Error(), "schema") {

@@ -15,11 +15,12 @@ import (
 // The energy LP of Eqns. (4)–(7) mixes at most two configurations
 // bracketing the required speedup, and its optimal energy at any target
 // is the lower convex envelope of the (speedup, power) point set
-// evaluated at that target. The O(N²) pair scan in Optimize searches
-// that envelope implicitly on every call; Frontier materializes it once
-// (O(N) on the speedup-sorted entries via Andrew's monotone chain), so
-// each control cycle reduces to a binary search for the bracketing hull
-// segment — O(log H) with H ≤ N hull vertices.
+// evaluated at that target. The paper's O(N²) pair scan (kept as the
+// test-only Optimize oracle) searches that envelope implicitly on every
+// call; Frontier materializes it once (O(N) on the speedup-sorted
+// entries via Andrew's monotone chain), so each control cycle reduces
+// to a binary search for the bracketing hull segment — O(log H) with
+// H ≤ N hull vertices.
 //
 // The controller builds its Frontier at construction, after ε-dominance
 // pruning; the profile table (and hence the hull) is immutable for the
@@ -37,8 +38,8 @@ type Frontier struct {
 }
 
 // NewFrontier builds the hull from entries sorted by ascending speedup
-// (profile.Table.SortedBySpeedup). It replicates Optimize's fallback
-// selections exactly so the two paths agree on every target.
+// (profile.Table.SortedBySpeedup). It replicates the pair scan's
+// fallback selections exactly so the two paths agree on every target.
 func NewFrontier(entries []profile.Entry) (*Frontier, error) {
 	if len(entries) == 0 {
 		return nil, ErrEmptyTable
@@ -54,7 +55,7 @@ func NewFrontier(entries []profile.Entry) (*Frontier, error) {
 		maxS: entries[len(entries)-1].Speedup,
 	}
 
-	// Fallback entries, with Optimize's exact tie-breaking (strict <
+	// Fallback entries, with the pair scan's exact tie-breaking (strict <
 	// keeps the earliest minimum).
 	f.cheapest = entries[0]
 	for _, e := range entries {
@@ -108,8 +109,8 @@ func cross(a, b, c profile.Entry) float64 {
 func (f *Frontier) Len() int { return len(f.hull) }
 
 // Optimize solves the energy LP for the target by binary-searching the
-// hull for the bracketing segment. It agrees with the O(N²) Optimize on
-// every target: identical fallbacks outside [minS, maxS], and the same
+// hull for the bracketing segment. It agrees with the O(N²) pair scan
+// on every target: identical fallbacks outside [minS, maxS], and the same
 // optimal energy (the convex envelope) inside.
 func (f *Frontier) Optimize(target float64, T time.Duration) (Allocation, error) {
 	if !(target > 0) || math.IsInf(target, 0) {
@@ -132,7 +133,7 @@ func (f *Frontier) Optimize(target float64, T time.Duration) (Allocation, error)
 	lo, hi := f.hull[i-1], f.hull[i]
 
 	// τ_h from the performance constraint Sᵀu = s_n·T, energy as the
-	// power mix — the same arithmetic as Optimize's inner loop.
+	// power mix — the same arithmetic as the pair scan's inner loop.
 	frac := (target - lo.Speedup) / (hi.Speedup - lo.Speedup)
 	energy := (lo.PowerW*(1-frac) + hi.PowerW*frac) * T.Seconds()
 	tauHigh := time.Duration(float64(T) * frac)

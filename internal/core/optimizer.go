@@ -45,90 +45,6 @@ var (
 	ErrBadTarget  = errors.New("core: target speedup must be positive and finite")
 )
 
-// Optimize solves the paper's energy LP by direct search: because the
-// optimum of Eqns. (4)–(7) is a basic solution with at most two nonzero
-// durations bracketing the required speedup (Fig. 3), it suffices to
-// examine every (below, above) pair — O(N²), as the paper notes.
-//
-// entries must be sorted by ascending speedup (profile.Table.SortedBySpeedup).
-func Optimize(entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
-	if len(entries) == 0 {
-		return Allocation{}, ErrEmptyTable
-	}
-	if !(target > 0) || math.IsInf(target, 0) {
-		return Allocation{}, fmt.Errorf("%w: %v", ErrBadTarget, target)
-	}
-
-	minS, maxS := entries[0].Speedup, entries[len(entries)-1].Speedup
-
-	// Below the table: no configuration is slow enough, so pick the
-	// cheapest one (it still over-delivers performance).
-	if target <= minS {
-		best := entries[0]
-		for _, e := range entries {
-			if e.PowerW < best.PowerW {
-				best = e
-			}
-		}
-		return singleConfig(best, T), nil
-	}
-	// Above the table: saturate at the fastest configuration. Profiled
-	// speedups of a demand-paced app are flat past the saturation knee,
-	// so configurations within a small tolerance of the maximum deliver
-	// the same performance — pick the cheapest of them.
-	if target >= maxS {
-		tol := 0.01 * maxS
-		best := entries[len(entries)-1]
-		for _, e := range entries {
-			if e.Speedup >= maxS-tol && e.PowerW < best.PowerW {
-				best = e
-			}
-		}
-		return singleConfig(best, T), nil
-	}
-
-	bestEnergy := math.Inf(1)
-	var best Allocation
-	for _, lo := range entries {
-		if lo.Speedup > target {
-			continue
-		}
-		for _, hi := range entries {
-			if hi.Speedup < target || hi.Speedup <= lo.Speedup {
-				continue
-			}
-			// τ_h from the performance constraint Sᵀu = s_n·T.
-			frac := (target - lo.Speedup) / (hi.Speedup - lo.Speedup)
-			energy := (lo.PowerW*(1-frac) + hi.PowerW*frac) * T.Seconds()
-			if energy < bestEnergy {
-				bestEnergy = energy
-				tauHigh := time.Duration(float64(T) * frac)
-				best = Allocation{
-					Low: lo, High: hi,
-					TauLow:          T - tauHigh,
-					TauHigh:         tauHigh,
-					ExpectedPowerW:  energy / T.Seconds(),
-					ExpectedSpeedup: target,
-				}
-			}
-		}
-	}
-	if math.IsInf(bestEnergy, 1) {
-		// target strictly inside (minS, maxS) guarantees a pair exists;
-		// reaching here means equal speedups bracket it exactly. The
-		// tolerance is relative to the target so large-speedup tables
-		// (where 1e-9 is below one ulp) still match their exact entry.
-		tol := 1e-9 * math.Max(1, math.Abs(target))
-		for _, e := range entries {
-			if math.Abs(e.Speedup-target) < tol {
-				return singleConfig(e, T), nil
-			}
-		}
-		return Allocation{}, fmt.Errorf("core: no feasible pair for target %v", target)
-	}
-	return best, nil
-}
-
 // pruneDominated removes entries that are ε-dominated: entry A is pruned
 // when some entry B has strictly lower power and speedup(B) ≥
 // speedup(A)/(1+ε). With ε = 0 this is plain Pareto pruning; a small
@@ -169,21 +85,10 @@ func singleConfig(e profile.Entry, T time.Duration) Allocation {
 	}
 }
 
-// OptimizeLP solves the same problem with the general simplex solver from
-// internal/lp — the formulation of Eqns. (4)–(7) verbatim. It exists to
-// cross-validate Optimize (they must agree on the optimal energy) and to
-// demonstrate the LP formulation; the direct search is what the online
-// controller uses.
-func OptimizeLP(entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
-	n := len(entries)
-	var ws lp.Workspace
-	return optimizeLPWith(&ws, make([]float64, n), make([]float64, n), make([]float64, n),
-		entries, target, T)
-}
-
-// optimizeLP is the controller's UseLP-mode solve: the same formulation
-// as OptimizeLP, but the simplex workspace and the problem-row vectors
-// persist on the controller across cycles instead of being rebuilt.
+// optimizeLP is the controller's UseLP-mode solve: the general simplex
+// solver from internal/lp on the formulation of Eqns. (4)–(7) verbatim,
+// with the simplex workspace and the problem-row vectors kept on the
+// controller across cycles instead of being rebuilt.
 func (c *Controller) optimizeLP(target float64) (Allocation, error) {
 	if n := len(c.entries); len(c.lpC) < n {
 		c.lpC = make([]float64, n)

@@ -1,14 +1,112 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"aspeo/internal/lp"
 	"aspeo/internal/profile"
 )
+
+// Optimize is the test-only pairwise oracle for the online Frontier: it
+// solves the paper's energy LP by direct search: because the
+// optimum of Eqns. (4)–(7) is a basic solution with at most two nonzero
+// durations bracketing the required speedup (Fig. 3), it suffices to
+// examine every (below, above) pair — O(N²), as the paper notes.
+//
+// entries must be sorted by ascending speedup (profile.Table.SortedBySpeedup).
+func Optimize(entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
+	if len(entries) == 0 {
+		return Allocation{}, ErrEmptyTable
+	}
+	if !(target > 0) || math.IsInf(target, 0) {
+		return Allocation{}, fmt.Errorf("%w: %v", ErrBadTarget, target)
+	}
+
+	minS, maxS := entries[0].Speedup, entries[len(entries)-1].Speedup
+
+	// Below the table: no configuration is slow enough, so pick the
+	// cheapest one (it still over-delivers performance).
+	if target <= minS {
+		best := entries[0]
+		for _, e := range entries {
+			if e.PowerW < best.PowerW {
+				best = e
+			}
+		}
+		return singleConfig(best, T), nil
+	}
+	// Above the table: saturate at the fastest configuration. Profiled
+	// speedups of a demand-paced app are flat past the saturation knee,
+	// so configurations within a small tolerance of the maximum deliver
+	// the same performance — pick the cheapest of them.
+	if target >= maxS {
+		tol := 0.01 * maxS
+		best := entries[len(entries)-1]
+		for _, e := range entries {
+			if e.Speedup >= maxS-tol && e.PowerW < best.PowerW {
+				best = e
+			}
+		}
+		return singleConfig(best, T), nil
+	}
+
+	bestEnergy := math.Inf(1)
+	var best Allocation
+	for _, lo := range entries {
+		if lo.Speedup > target {
+			continue
+		}
+		for _, hi := range entries {
+			if hi.Speedup < target || hi.Speedup <= lo.Speedup {
+				continue
+			}
+			// τ_h from the performance constraint Sᵀu = s_n·T.
+			frac := (target - lo.Speedup) / (hi.Speedup - lo.Speedup)
+			energy := (lo.PowerW*(1-frac) + hi.PowerW*frac) * T.Seconds()
+			if energy < bestEnergy {
+				bestEnergy = energy
+				tauHigh := time.Duration(float64(T) * frac)
+				best = Allocation{
+					Low: lo, High: hi,
+					TauLow:          T - tauHigh,
+					TauHigh:         tauHigh,
+					ExpectedPowerW:  energy / T.Seconds(),
+					ExpectedSpeedup: target,
+				}
+			}
+		}
+	}
+	if math.IsInf(bestEnergy, 1) {
+		// target strictly inside (minS, maxS) guarantees a pair exists;
+		// reaching here means equal speedups bracket it exactly. The
+		// tolerance is relative to the target so large-speedup tables
+		// (where 1e-9 is below one ulp) still match their exact entry.
+		tol := 1e-9 * math.Max(1, math.Abs(target))
+		for _, e := range entries {
+			if math.Abs(e.Speedup-target) < tol {
+				return singleConfig(e, T), nil
+			}
+		}
+		return Allocation{}, fmt.Errorf("core: no feasible pair for target %v", target)
+	}
+	return best, nil
+}
+
+// OptimizeLP is the test-only simplex oracle: the same problem through
+// the controller's UseLP solve path (internal/lp on Eqns. (4)–(7)
+// verbatim), with fresh scratch. It cross-validates Optimize and the
+// Frontier — all three must agree on the optimal energy.
+func OptimizeLP(entries []profile.Entry, target float64, T time.Duration) (Allocation, error) {
+	n := len(entries)
+	var ws lp.Workspace
+	return optimizeLPWith(&ws, make([]float64, n), make([]float64, n), make([]float64, n),
+		entries, target, T)
+}
 
 // tbl builds a sorted entry list from (speedup, power) pairs.
 func tbl(pairs ...[2]float64) []profile.Entry {

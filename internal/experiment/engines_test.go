@@ -1,10 +1,12 @@
 package experiment_test
 
-// Cross-engine golden equivalence: the event-queue core must reproduce
-// the fixed-timestep core bit for bit on every observable surface —
-// summary JSON, the controller's allocation log, and full-rate trace
-// recordings. These tests are the acceptance gate for the backend
-// switch: like the tracing and kill-restore goldens, they compare
+// Engine golden equivalence: a session on the event core's fast paths
+// must reproduce the same session run one Phone.Step at a time, bit for
+// bit, on every observable surface — summary JSON and the controller's
+// allocation log. The step-at-a-time reference is the same spec with a
+// full-rate trace recorder attached: recording disables the step-plan
+// capture StepSpan replays, so every step of that run takes the slow
+// path. Like the tracing and kill-restore goldens, these tests compare
 // serialized bytes, not tolerances.
 
 import (
@@ -55,18 +57,14 @@ func engineProfile(t *testing.T) (path string, target float64) {
 	return path, 0.5 * (tab.MinSpeedup() + tab.MaxSpeedup()) * tab.BaseGIPS
 }
 
-// runOnEngine runs the spec on the named backend and returns every
-// observable surface: summary bytes, the controller allocation log, and
-// the full-rate trace (nil unless TraceEvery was set).
-func runOnEngine(t *testing.T, spec experiment.SessionSpec, engine string) ([]byte, []interface{}, []trace.Point) {
+// runSession runs the spec and returns every observable surface:
+// summary bytes, the controller allocation log, and the full-rate trace
+// (nil unless TraceEvery was set).
+func runSession(t *testing.T, spec experiment.SessionSpec) ([]byte, []interface{}, []trace.Point) {
 	t.Helper()
-	spec.Engine = engine
 	sess, err := experiment.NewSession(spec)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want, _ := sim.ParseBackend(engine); sess.Harness.Engine.Backend() != want {
-		t.Fatalf("session engine = %v, want %v", sess.Harness.Engine.Backend(), want)
 	}
 	st := sess.Run(nil)
 	raw, err := json.Marshal(report.NewRunSummary(sess, st))
@@ -86,26 +84,25 @@ func runOnEngine(t *testing.T, spec experiment.SessionSpec, engine string) ([]by
 	return raw, log, pts
 }
 
-// checkEngineEquivalence asserts the event and fixed cores produce
-// byte-identical outputs for the spec.
+// checkEngineEquivalence asserts the untraced spec and its full-rate
+// traced step-at-a-time reference produce byte-identical outputs.
 func checkEngineEquivalence(t *testing.T, spec experiment.SessionSpec) {
 	t.Helper()
-	evRaw, evLog, evPts := runOnEngine(t, spec, "event")
-	fxRaw, fxLog, fxPts := runOnEngine(t, spec, "fixed")
-	if !bytes.Equal(evRaw, fxRaw) {
-		t.Fatalf("summary diverges across engines:\nevent %s\nfixed %s", evRaw, fxRaw)
+	evRaw, evLog, _ := runSession(t, spec)
+	ref := spec
+	ref.TraceEvery = sim.DefaultStep
+	refRaw, refLog, refPts := runSession(t, ref)
+	// One trace point per Phone.Step: the reference really walked the
+	// whole session step by step.
+	if want := int(spec.RunFor / sim.DefaultStep); len(refPts) != want {
+		t.Fatalf("reference recorded %d points, want %d (one per step)", len(refPts), want)
 	}
-	if !reflect.DeepEqual(evLog, fxLog) {
-		t.Fatalf("allocation log diverges across engines:\nevent %d records %v\nfixed %d records %v",
-			len(evLog), evLog, len(fxLog), fxLog)
+	if !bytes.Equal(evRaw, refRaw) {
+		t.Fatalf("summary diverges from the step-at-a-time reference:\nevent     %s\nreference %s", evRaw, refRaw)
 	}
-	if len(evPts) != len(fxPts) {
-		t.Fatalf("trace length diverges: event %d points, fixed %d", len(evPts), len(fxPts))
-	}
-	for i := range evPts {
-		if evPts[i] != fxPts[i] {
-			t.Fatalf("trace diverges at point %d:\nevent %+v\nfixed %+v", i, evPts[i], fxPts[i])
-		}
+	if !reflect.DeepEqual(evLog, refLog) {
+		t.Fatalf("allocation log diverges from the step-at-a-time reference:\nevent     %d records %v\nreference %d records %v",
+			len(evLog), evLog, len(refLog), refLog)
 	}
 }
 
@@ -138,14 +135,5 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 		Profile: prof, TargetGIPS: target, Seed: 11,
 		RunFor: 60 * time.Second, LogAllocations: true,
 		Faults: "combined",
-	})
-}
-
-// TestEngineEquivalenceTraced: full-rate trace recording (every engine
-// step) — the strictest observable surface, one point per step.
-func TestEngineEquivalenceTraced(t *testing.T) {
-	checkEngineEquivalence(t, experiment.SessionSpec{
-		App: "ebook", Load: "NL", Governor: "interactive", Seed: 3,
-		RunFor: 10 * time.Second, TraceEvery: sim.DefaultStep,
 	})
 }

@@ -65,7 +65,8 @@ var _ ckpt.FS = (*captureFS)(nil)
 // test: a manager killed after a checkpoint and restored by a fresh
 // manager must finish the session with byte-identical outputs — the
 // same summary JSON and the same controller decision log the
-// uninterrupted direct run produces.
+// uninterrupted direct run produces — also from a checkpoint whose
+// config still carries the retired "engine" field.
 func TestFleetKillRestoreGolden(t *testing.T) {
 	prof, target := goldenProfile(t)
 
@@ -131,58 +132,67 @@ func TestFleetKillRestoreGolden(t *testing.T) {
 		t.Fatal("captureFS saw no durable checkpoint")
 	}
 
-	// Second life: plant the captured snapshot in a fresh directory —
-	// exactly what a killed process would have left — and restore.
-	dir2 := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir2, v1.ID+".ckpt.json"), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m2 := fleet.NewManager(fleet.Options{Workers: 2, CheckpointDir: dir2, CheckpointEvery: 3})
-	views, err := m2.Restore()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if len(views) != 1 || views[0].ID != v1.ID {
-		t.Fatalf("restored views %+v, want one session %s", views, v1.ID)
-	}
-	final2 := waitTerminal(t, m2, v1.ID, 2*time.Minute)
-	if final2.State != fleet.StateCompleted {
-		t.Fatalf("restored session ended %s (error %q)", final2.State, final2.Error)
-	}
-	if final2.Restarts != 0 || final2.Error != "" {
-		t.Fatalf("restored session restarts=%d error=%q, want a clean resume", final2.Restarts, final2.Error)
-	}
-
-	got2, err := json.Marshal(*final2.Summary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refJSON, got2) {
-		t.Fatalf("restored summary diverged:\nref:      %s\nrestored: %s", refJSON, got2)
-	}
-	log2, err := m2.AllocationLog(v1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log2) != len(refLog) {
-		t.Fatalf("restored log has %d cycles, reference %d", len(log2), len(refLog))
-	}
-	for i := range refLog {
-		if !reflect.DeepEqual(refLog[i], log2[i]) {
-			t.Fatalf("allocation cycle %d diverged:\nref:      %+v\nrestored: %+v", i, refLog[i], log2[i])
+	// Second life: plant a snapshot in a fresh directory — exactly what
+	// a killed process would have left — and restore.
+	restore := func(snap []byte) *fleet.Manager {
+		dir2 := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir2, v1.ID+".ckpt.json"), snap, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
+		m2 := fleet.NewManager(fleet.Options{Workers: 2, CheckpointDir: dir2, CheckpointEvery: 3})
+		views, err := m2.Restore()
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if len(views) != 1 || views[0].ID != v1.ID {
+			t.Fatalf("restored views %+v, want one session %s", views, v1.ID)
+		}
+		final2 := waitTerminal(t, m2, v1.ID, 2*time.Minute)
+		if final2.State != fleet.StateCompleted {
+			t.Fatalf("restored session ended %s (error %q)", final2.State, final2.Error)
+		}
+		if final2.Restarts != 0 || final2.Error != "" {
+			t.Fatalf("restored session restarts=%d error=%q, want a clean resume", final2.Restarts, final2.Error)
+		}
 
-	// The restored session resumed past the last cadence point rather
-	// than re-running from scratch: a from-scratch second life would
-	// have written as many checkpoints as the first.
-	if r2 := m2.Rollup(); r2.CheckpointsWritten >= r1.CheckpointsWritten {
-		t.Fatalf("second life wrote %d checkpoints (first wrote %d) — it re-ran instead of resuming",
-			r2.CheckpointsWritten, r1.CheckpointsWritten)
+		got2, err := json.Marshal(*final2.Summary)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(refJSON, got2) {
+			t.Fatalf("restored summary diverged:\nref:      %s\nrestored: %s", refJSON, got2)
+		}
+		log2, err := m2.AllocationLog(v1.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log2) != len(refLog) {
+			t.Fatalf("restored log has %d cycles, reference %d", len(log2), len(refLog))
+		}
+		for i := range refLog {
+			if !reflect.DeepEqual(refLog[i], log2[i]) {
+				t.Fatalf("allocation cycle %d diverged:\nref:      %+v\nrestored: %+v", i, refLog[i], log2[i])
+			}
+		}
+
+		// The restored session resumed past the last cadence point rather
+		// than re-running from scratch: a from-scratch second life would
+		// have written as many checkpoints as the first.
+		if r2 := m2.Rollup(); r2.CheckpointsWritten >= r1.CheckpointsWritten {
+			t.Fatalf("second life wrote %d checkpoints (first wrote %d) — it re-ran instead of resuming",
+				r2.CheckpointsWritten, r1.CheckpointsWritten)
+		}
+		if _, err := os.Stat(filepath.Join(dir2, v1.ID+".ckpt.json")); !os.IsNotExist(err) {
+			t.Fatalf("restored terminal session left its checkpoint behind (stat err %v)", err)
+		}
+		return m2
 	}
-	if _, err := os.Stat(filepath.Join(dir2, v1.ID+".ckpt.json")); !os.IsNotExist(err) {
-		t.Fatalf("restored terminal session left its checkpoint behind (stat err %v)", err)
-	}
+	m2 := restore(snap)
+	// A checkpoint written while fleet configs still carried the retired
+	// "engine" field restores the same way: checkpoint metadata decodes
+	// leniently, and both engine cores were golden-equivalent, so even
+	// "engine":"fixed" must finish byte-identical to the reference.
+	restore(withEngineField(t, snap))
 
 	// New submissions never collide with restored ids: the ordinal
 	// source was bumped above the restored sequence number.
@@ -193,6 +203,41 @@ func TestFleetKillRestoreGolden(t *testing.T) {
 	if v2.ID <= v1.ID {
 		t.Fatalf("post-restore submission got id %s, want one above %s", v2.ID, v1.ID)
 	}
+}
+
+// withEngineField rewrites a fleet checkpoint the way builds that still
+// had an engine switch wrote it: "engine":"fixed" in the metadata's
+// config. The envelope's CRC covers only the cell payload.
+func withEngineField(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	var env ckpt.Envelope
+	if err := json.Unmarshal(snap, &env); err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]json.RawMessage
+	if err := json.Unmarshal(env.Meta, &meta); err != nil {
+		t.Fatal(err)
+	}
+	var cfg map[string]json.RawMessage
+	if err := json.Unmarshal(meta["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg["engine"] = json.RawMessage(`"fixed"`)
+	var err error
+	if meta["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if env.Meta, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(legacy, []byte(`"engine":"fixed"`)) {
+		t.Fatalf("rewritten checkpoint lacks the engine field: %s", legacy)
+	}
+	return legacy
 }
 
 // TestFleetChaosRecovery is the seeded chaos acceptance test (run under

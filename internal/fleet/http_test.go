@@ -54,6 +54,10 @@ func TestFleetSmokeHTTP(t *testing.T) {
 	if code, _ := post("/api/v1/sessions", `{"app":"spotify","bogus_field":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", code)
 	}
+	// The engine switch is gone; configs that still name one are refused.
+	if code, body := post("/api/v1/sessions", `{"app":"spotify","engine":"fixed"}`); code != http.StatusBadRequest || !strings.Contains(string(body), "engine") {
+		t.Fatalf("removed engine field: status %d, body %s, want 400 naming it", code, body)
+	}
 	if code, _ := post("/api/v1/sessions", `{"app":"spotify","count":-3}`); code != http.StatusBadRequest {
 		t.Fatalf("negative count: status %d, want 400", code)
 	}

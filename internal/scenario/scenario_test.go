@@ -212,7 +212,9 @@ func TestValidateFieldPaths(t *testing.T) {
 	}{
 		{func(s *Spec) { s.Sessions = 0 }, "sessions"},
 		{func(s *Spec) { s.Arrival.Process = "lumpy" }, "arrival.process"},
-		{func(s *Spec) { s.Arrival = Arrival{Process: ProcessBursty, BurstFactor: 0.5, MeanBurstS: 1, MeanCalmS: 1} }, "arrival.burst_factor"},
+		{func(s *Spec) {
+			s.Arrival = Arrival{Process: ProcessBursty, BurstFactor: 0.5, MeanBurstS: 1, MeanCalmS: 1}
+		}, "arrival.burst_factor"},
 		{func(s *Spec) { s.LoadCurve = []CurveTerm{{PeriodS: -1, Amplitude: 0.1}} }, "load_curve[0].period_s"},
 		{func(s *Spec) { s.LoadCurve = []CurveTerm{{PeriodS: 10, Amplitude: 0.6}, {PeriodS: 10, Amplitude: 0.6}} }, "load_curve"},
 		{func(s *Spec) { s.Cohorts = nil }, "cohorts"},
@@ -245,6 +247,10 @@ func TestValidateFieldPaths(t *testing.T) {
 func TestParseStrict(t *testing.T) {
 	if _, err := Parse([]byte(`{"name":"x","seed":1,"sessions":4,"cohortz":[]}`)); err == nil || !strings.Contains(err.Error(), "cohortz") {
 		t.Errorf("unknown field: got %v", err)
+	}
+	// The cohort engine switch is gone; a spec that still names one is refused.
+	if _, err := Parse([]byte(`{"name":"x","sessions":2,"cohorts":[{"name":"c","weight":1,"apps":["spotify"],"engine":"fixed"}]}`)); err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Errorf("removed engine field: got %v", err)
 	}
 	if _, err := Parse([]byte(`{"name":"x","seed":1,"sessions":"many"}`)); err == nil || !strings.Contains(err.Error(), "sessions") {
 		t.Errorf("type mismatch: got %v", err)

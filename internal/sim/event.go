@@ -15,8 +15,9 @@ import (
 // micro-events inside StepSpan, which bounds every fused span at the
 // next phase boundary and re-plans there.
 //
-// The core maintains two invariants, enforced when Options.
-// DebugInvariants is set:
+// The core maintains two invariants, enforced on every event (a few
+// integer compares; a violation is an engine bug, never a data error,
+// and panics):
 //
 //	INV-MONO  (clock monotonicity): events are consumed in
 //	          non-decreasing timestamp order, and the device clock
@@ -169,12 +170,13 @@ func (q *eventQueue) Pop() Event {
 // runEvent is the event-core run loop. It rebuilds the queue from the
 // authoritative actor schedule (actors[i].next) at entry, so a cell
 // restored via RestoreActors resumes with the exact deadlines the
-// checkpoint recorded, and the fixed core's checkpoint machinery works
-// unchanged.
+// checkpoint recorded.
 //
-// Loop-top boundary semantics match runFixed exactly: foreground-done
-// check, interrupt poll, checkpoint hook (the quiescent point), due
-// actors ticked in registration order, then one span to the next event.
+// Loop-top boundary semantics: foreground-done check, interrupt poll,
+// checkpoint hook (the quiescent point), due actors ticked in
+// registration order, then one span to the next event. The test-only
+// reference loop (reference_test.go) walks the same boundaries one
+// Phone.Step at a time and must match it bit for bit.
 func (e *Engine) runEvent(cur RunCursor) {
 	ph := e.phone
 	deadline := cur.Deadline
@@ -213,7 +215,7 @@ func (e *Engine) runEvent(cur RunCursor) {
 		e.due = e.due[:0]
 		for e.queue.Len() > 0 && e.queue.Peek().At <= now {
 			ev := e.queue.Pop()
-			if e.debug && ev.At < lastAt {
+			if ev.At < lastAt {
 				panic(fmt.Sprintf("sim: INV-MONO violated: %s event at %v after boundary %v", ev.Kind, ev.At, lastAt))
 			}
 			if ev.At > lastAt {
@@ -235,15 +237,15 @@ func (e *Engine) runEvent(cur RunCursor) {
 		if e.queue.Len() > 0 && e.queue.Peek().At < next {
 			next = e.queue.Peek().At
 		}
-		if e.debug && next < now {
+		if next < now {
 			panic(fmt.Sprintf("sim: INV-MONO violated: next event %v behind clock %v", next, now))
 		}
-		n := int((next - now) / e.step)
+		n := int((next - now) / DefaultStep)
 		if n < 1 {
 			n = 1
 		}
-		ran := ph.StepSpan(e.step, n, stopWhenFGDone)
-		if e.debug && ran != n && !(stopWhenFGDone && ph.FGDone()) {
+		ran := ph.StepSpan(DefaultStep, n, stopWhenFGDone)
+		if ran != n && !(stopWhenFGDone && ph.FGDone()) {
 			panic(fmt.Sprintf("sim: INV-WORK violated: span [%v, %v) ran %d/%d steps without a sanctioned early exit", now, next, ran, n))
 		}
 	}

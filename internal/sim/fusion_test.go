@@ -12,8 +12,8 @@ import (
 )
 
 // fusionCell builds one simulation cell (phone + engine + default
-// governors) with step fusion forced on or off.
-func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed int64, fused bool) (*Phone, *Engine) {
+// governors).
+func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed int64) (*Phone, *Engine) {
 	t.Helper()
 	ph, err := NewPhone(Config{
 		Foreground: spec, Load: load, Seed: seed,
@@ -22,7 +22,6 @@ func fusionCell(t *testing.T, spec *workload.Spec, load workload.BGLoad, seed in
 	if err != nil {
 		t.Fatal(err)
 	}
-	ph.SetStepFusion(fused)
 	eng := NewEngine(ph)
 	if err := governor.Defaults(eng); err != nil {
 		t.Fatal(err)
@@ -41,11 +40,12 @@ func eqf(t *testing.T, what string, fused, slow float64) {
 }
 
 // TestStepFusionBitIdentity runs every evaluated app under the default
-// governors twice — once with the fused fast path, once step-at-a-time —
-// and requires every observable quantity to match bit for bit. This is
-// the test that guards the FuseBound contract: the recorded-trace
-// goldens cannot catch fusion bugs because recorded runs always take the
-// slow path.
+// governors twice — once on Engine.Run, whose StepSpan fuses quiescent
+// spans in closed form, once on the step-at-a-time reference loop — and
+// requires every observable quantity to match bit for bit. This is the
+// test that guards the SpanBound contract: the recorded-trace goldens
+// cannot catch fusion bugs because recorded runs always take the slow
+// path.
 func TestStepFusionBitIdentity(t *testing.T) {
 	specs := append(workload.Evaluated(), workload.EBook())
 	for _, spec := range specs {
@@ -54,10 +54,10 @@ func TestStepFusionBitIdentity(t *testing.T) {
 			t.Run(spec.Name+"/"+load.String(), func(t *testing.T) {
 				t.Parallel()
 				const runFor = 30 * time.Second
-				phF, engF := fusionCell(t, spec, load, 707, true)
-				phS, engS := fusionCell(t, spec, load, 707, false)
+				phF, engF := fusionCell(t, spec, load, 707)
+				phS, engS := fusionCell(t, spec, load, 707)
 				stF := engF.Run(runFor, true)
-				stS := engS.Run(runFor, true)
+				stS := engS.runReference(runFor, true)
 
 				if stF != stS {
 					t.Errorf("stats diverged:\nfused %+v\nslow  %+v", stF, stS)
@@ -103,9 +103,9 @@ func TestStepFusionBitIdentity(t *testing.T) {
 }
 
 // TestStepFusionConfigChurn exercises plan invalidation: an actor that
-// rewrites the configuration on a fixed cadence must leave fused and
-// slow runs identical, including the overlay energy charged per freq
-// transition.
+// rewrites the configuration on a fixed cadence must leave Engine.Run
+// and the reference loop identical, including the overlay energy
+// charged per freq transition.
 func TestStepFusionConfigChurn(t *testing.T) {
 	run := func(fused bool) (Stats, *Phone) {
 		ph, err := NewPhone(Config{
@@ -115,11 +115,12 @@ func TestStepFusionConfigChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph.SetStepFusion(fused)
 		eng := NewEngine(ph)
 		eng.MustRegister(&churnActor{})
-		st := eng.Run(20*time.Second, false)
-		return st, ph
+		if !fused {
+			return eng.runReference(20*time.Second, false), ph
+		}
+		return eng.Run(20*time.Second, false), ph
 	}
 	stF, phF := run(true)
 	stS, phS := run(false)
