@@ -65,8 +65,11 @@ smoke-replay:
 	$(GO) test -count=1 -run=TestReplayGolden ./internal/platform/replay/
 
 # The fleet control plane end to end, under the race detector: start
-# the HTTP server, submit 8 sessions over the API, stream one, assert
-# the rollup and /metrics, drain, and verify intake is closed.
+# the HTTP server, submit 8 governor and 4 controller sessions over the
+# API, poll every GET route while they run (the race guard for the
+# single-owner device model: phones, PMUs and sysfs trees carry no
+# locks), stream one, assert the rollup and /metrics, drain, and verify
+# intake is closed.
 smoke-fleet:
 	$(GO) test -count=1 -race -run=TestFleetSmokeHTTP ./internal/fleet/
 
@@ -128,7 +131,7 @@ vuln:
 
 # Short fuzz passes: the sysfs path canonicalizer and the scenario
 # spec parser/compiler (seed corpora in the fuzz targets). Not part of
-# `ci` — time-boxed runs belong in a dedicated job.
+# `ci`: the CI workflow runs it as its own time-boxed step.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/

@@ -58,6 +58,7 @@ type interactive struct {
 	boostUntil  time.Duration // input boost active until this
 	hispeedTime time.Duration // when we arrived at/above hispeed
 	initialized bool
+	tunGen      uint64 // sysfs generation tun was last loaded at
 }
 
 func newInteractive(tun InteractiveTunables) *interactive {

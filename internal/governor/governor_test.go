@@ -354,3 +354,55 @@ func TestInteractiveTunablesRejectGarbage(t *testing.T) {
 		t.Fatalf("rejected write corrupted the tunable: %q", v)
 	}
 }
+
+// interactiveOn registers the cpufreq policy engine on a fresh idle
+// phone and runs it long enough to publish its tunables and load them
+// once.
+func interactiveOn(t *testing.T) (*sim.Phone, *sim.Engine, *interactive) {
+	t.Helper()
+	ph, eng := newPhone(t, idleSpec())
+	c := NewCPUFreq()
+	if err := eng.Register(c); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(100*time.Millisecond, false)
+	if got := c.interactive.tun.HispeedFreqIdx; got != 9 {
+		t.Fatalf("hispeed index after warm-up = %d, want the default 9", got)
+	}
+	return ph, eng, c.interactive
+}
+
+// A tunable changed with root semantics (SetFile: no hooks, no
+// permission checks, as an OEM daemon or the fault injector writes)
+// takes effect at the governor's next tick.
+func TestInteractiveTunablesRootSetTakesEffect(t *testing.T) {
+	ph, eng, g := interactiveOn(t)
+	ph.SetFile(TunableHispeedFreq, "729600") // frequency 4
+	ph.SetFile(TunableInputBoostMS, "50")
+	eng.Run(20*time.Millisecond, false)
+	if got := g.tun.HispeedFreqIdx; got != 3 {
+		t.Fatalf("hispeed index after root set = %d, want 3", got)
+	}
+	if got := g.tun.InputBoost; got != 50*time.Millisecond {
+		t.Fatalf("input boost after root set = %v, want 50ms", got)
+	}
+}
+
+// A tunable landed by a checkpoint restore (sysfs RestoreValues) takes
+// effect at the governor's next tick, like any other change to the tree.
+func TestInteractiveTunablesRestoredValuesTakeEffect(t *testing.T) {
+	ph, eng, g := interactiveOn(t)
+	vals := ph.FS().Export()
+	vals[TunableMinSampleTime] = "40000"
+	vals[TunableTargetLoads] = "70"
+	if err := ph.FS().RestoreValues(vals); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(20*time.Millisecond, false)
+	if got := g.tun.MinSampleTime; got != 40*time.Millisecond {
+		t.Fatalf("min sample time after restore = %v, want 40ms", got)
+	}
+	if got := g.tun.TargetLoad; got != 0.70 {
+		t.Fatalf("target load after restore = %v, want 0.70", got)
+	}
+}

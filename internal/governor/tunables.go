@@ -13,9 +13,10 @@ import (
 // /sys/devices/system/cpu/cpufreq/interactive/ — the exact knobs device
 // vendors ship tuned and the paper's experiments inherit. This file wires
 // the same protocol onto the simulated phone: the files are created when
-// the governor first runs, validated on write, and re-read every timer
-// tick, so experiments can retune the default governor exactly the way a
-// kernel engineer would (`echo 1190400 > hispeed_freq`).
+// the governor first runs, validated on write, and re-read at the first
+// timer tick after any change to the tree, so experiments can retune the
+// default governor exactly the way a kernel engineer would
+// (`echo 1190400 > hispeed_freq`).
 const (
 	InteractiveDir       = "/sys/devices/system/cpu/cpufreq/interactive"
 	TunableHispeedFreq   = InteractiveDir + "/hispeed_freq"        // kHz
@@ -59,8 +60,15 @@ func requirePositiveInt(path, _, val string) error {
 }
 
 // loadTunables refreshes the in-memory tunables from sysfs, so userspace
-// writes take effect at the next evaluation.
+// writes take effect at the next evaluation. The parse is a pure
+// function of the stored files, so it is skipped while the tree's
+// generation has not moved since the last load.
 func (g *interactive) loadTunables(dev platform.Device) {
+	gen := dev.FilesGen()
+	if gen == g.tunGen {
+		return
+	}
+	g.tunGen = gen
 	if v, ok := readInt(dev, TunableHispeedFreq); ok {
 		g.tun.HispeedFreqIdx = dev.SoC().NearestFreqIdx(khzToFreq(v))
 	}

@@ -15,7 +15,8 @@ import (
 	"aspeo/internal/fpacc"
 )
 
-// Monitor integrates a power signal over time.
+// Monitor integrates a power signal over time. It is not safe for
+// concurrent use: the goroutine that owns the phone owns its monitor.
 type Monitor struct {
 	sampleHz float64
 	// Current sample state.

@@ -127,6 +127,11 @@ type SysfsView interface {
 	// CreateFile registers a new node — governors publishing tunables.
 	// A non-nil hook validates writes like a kernel store() callback.
 	CreateFile(path, initial string, writable bool, hook sysfs.WriteHook)
+	// FilesGen returns the tree's generation (sysfs.FS.Gen): it moves on
+	// every change to a stored value, through any of the methods above.
+	// A consumer that caches values parsed from stored files may skip
+	// re-reading them while FilesGen is unchanged.
+	FilesGen() uint64
 }
 
 // FileWrite is one sysfs write of a batch (see BatchWriter).

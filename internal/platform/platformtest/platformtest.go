@@ -2,7 +2,8 @@
 // platform.Device backend must pass. Backends import it from their own
 // tests (internal/sim, internal/platform/replay) so the platform
 // contract — clock monotonicity, PMU snapshot consistency, the sysfs
-// governor-file protocol, actuator clamping, telemetry semantics — is
+// governor-file protocol and its generation counter, actuator clamping,
+// telemetry semantics — is
 // asserted once and enforced everywhere, including future backends such
 // as an adb/sysfs driver for real hardware.
 package platformtest
@@ -39,6 +40,7 @@ func Run(t *testing.T, name string, mk func(t *testing.T) Fixture) {
 		{"setspeed-protocol", testSetSpeedProtocol},
 		{"root-writes", testRootWrites},
 		{"create-file", testCreateFile},
+		{"files-gen", testFilesGen},
 		{"actuator", testActuator},
 		{"thermal-cap", testThermalCap},
 		{"telemetry", testTelemetry},
@@ -182,6 +184,33 @@ func testCreateFile(t *testing.T, f Fixture) {
 	}
 	if got, _ := dev.ReadFile(path); got != "42" {
 		t.Fatalf("value = %q after write, want 42", got)
+	}
+}
+
+// testFilesGen: the sysfs generation moves on every change to a stored
+// value — CreateFile, an accepted WriteFile, SetFile — so consumers may
+// cache values parsed from stored files against it.
+func testFilesGen(t *testing.T, f Fixture) {
+	dev := f.Device
+	const path = "/sys/devices/test/gen_probe"
+	steps := []struct {
+		name string
+		op   func()
+	}{
+		{"CreateFile", func() { dev.CreateFile(path, "1", true, nil) }},
+		{"WriteFile", func() {
+			if err := dev.WriteFile(path, "2"); err != nil {
+				t.Fatalf("write rejected: %v", err)
+			}
+		}},
+		{"SetFile", func() { dev.SetFile(path, "3") }},
+	}
+	for _, s := range steps {
+		before := dev.FilesGen()
+		s.op()
+		if dev.FilesGen() == before {
+			t.Fatalf("%s left FilesGen at %d", s.name, before)
+		}
 	}
 }
 

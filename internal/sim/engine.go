@@ -20,9 +20,11 @@ const DefaultStep = time.Millisecond
 
 // Engine advances a Phone and its actors in lockstep.
 //
-// Concurrency contract: an Engine, its Phone, its workload and every
-// registered Actor form one single-threaded simulation cell — none of
-// them is safe for concurrent use, and none holds global state. Parallel
+// Concurrency contract: an Engine, its Phone (with the PMU, Monsoon
+// monitor and sysfs tree it owns), its workload and every registered
+// Actor form one single-threaded simulation cell — none of them is safe
+// for concurrent use, and none holds global state. Other goroutines see
+// a cell only through snapshots its owner publishes. Parallel
 // campaigns (internal/par, internal/experiment's runner) exploit exactly
 // this: each goroutine constructs its own Phone/Engine/actor set ("one
 // Phone per goroutine") and cells share nothing but read-only inputs

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -57,11 +56,16 @@ type file struct {
 	readHook  ReadHook
 }
 
-// FS is an in-memory sysfs tree. It is safe for concurrent use.
+// FS is an in-memory sysfs tree. It is not safe for concurrent use: the
+// goroutine that owns the phone owns its tree, and every reader and
+// writer — governors, the controller's actuator, the fault injector,
+// checkpoint capture and restore — runs on that goroutine. Other
+// goroutines see device state only through cycle-boundary snapshots
+// published by the owner.
 type FS struct {
-	mu        sync.RWMutex
 	files     map[string]*file
 	intercept Interceptor
+	gen       uint64
 }
 
 // New returns an empty tree.
@@ -99,16 +103,13 @@ func cleanTrimByte(b byte) bool {
 // Create registers a file. Writable files accept Write; read-only files
 // reject it with ErrPermission, like mode 0444 sysfs attributes.
 func (fs *FS) Create(path, initial string, writable bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.files[clean(path)] = &file{value: initial, writable: writable}
+	fs.gen++
 }
 
 // CreateDynamic registers a read-only file whose content is produced by
 // hook at read time (like cpuinfo_cur_freq reading the hardware).
 func (fs *FS) CreateDynamic(path string, hook ReadHook) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.files[clean(path)] = &file{readHook: hook}
 }
 
@@ -116,8 +117,6 @@ func (fs *FS) CreateDynamic(path string, hook ReadHook) {
 // does not exist, because hooks are wired at device construction time and
 // a missing file is a programming error.
 func (fs *FS) OnWrite(path string, hook WriteHook) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[clean(path)]
 	if !ok {
 		panic(fmt.Sprintf("sysfs: OnWrite on missing file %q", path))
@@ -129,15 +128,11 @@ func (fs *FS) OnWrite(path string, hook WriteHook) {
 // interceptor. An interceptor error aborts the write before the file's
 // own hook runs and the file keeps its old value.
 func (fs *FS) SetInterceptor(fn Interceptor) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.intercept = fn
 }
 
 // Exists reports whether path is registered.
 func (fs *FS) Exists(path string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	_, ok := fs.files[clean(path)]
 	return ok
 }
@@ -145,19 +140,14 @@ func (fs *FS) Exists(path string) bool {
 // Read returns the file's value.
 func (fs *FS) Read(path string) (string, error) {
 	p := clean(path)
-	fs.mu.RLock()
 	f, ok := fs.files[p]
 	if !ok {
-		fs.mu.RUnlock()
 		return "", fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
-	if hook := f.readHook; hook != nil {
-		fs.mu.RUnlock()
-		return hook(p), nil
+	if f.readHook != nil {
+		return f.readHook(p), nil
 	}
-	v := f.value
-	fs.mu.RUnlock()
-	return v, nil
+	return f.value, nil
 }
 
 // Write sets the file's value, running its write hook first. The value is
@@ -166,22 +156,15 @@ func (fs *FS) Read(path string) (string, error) {
 func (fs *FS) Write(path, value string) error {
 	p := clean(path)
 	value = strings.TrimSpace(value)
-	fs.mu.Lock()
 	f, ok := fs.files[p]
 	if !ok {
-		fs.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
 	if !f.writable {
-		fs.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrPermission, path)
 	}
-	old := f.value
-	hook := f.writeHook
-	icept := fs.intercept
-	fs.mu.Unlock()
-
-	if icept != nil {
+	old, hook := f.value, f.writeHook
+	if icept := fs.intercept; icept != nil {
 		if err := icept(p, value); err != nil {
 			return fmt.Errorf("sysfs: write %s=%q failed: %w", path, value, err)
 		}
@@ -191,29 +174,33 @@ func (fs *FS) Write(path, value string) error {
 			return fmt.Errorf("sysfs: write %s=%q rejected: %w", path, value, err)
 		}
 	}
-	fs.mu.Lock()
 	f.value = value
-	fs.mu.Unlock()
+	fs.gen++
 	return nil
 }
 
 // Set force-sets a value without running hooks or permission checks; for
 // the kernel side (the simulation) to publish state.
 func (fs *FS) Set(path, value string) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	f, ok := fs.files[clean(path)]
 	if !ok {
 		panic(fmt.Sprintf("sysfs: Set on missing file %q", path))
 	}
 	f.value = value
+	fs.gen++
 }
+
+// Gen returns the tree's generation: a counter that moves on every
+// change to a stored value — a successful Write, Set, Create or
+// RestoreValues. Consumers that derive state from stored files (the
+// interactive governor's tunables) re-read them only when Gen has moved
+// since their last read. Dynamic files are not covered: their content
+// is computed at read time and can change without a write.
+func (fs *FS) Gen() uint64 { return fs.gen }
 
 // List returns all registered paths under prefix, sorted.
 func (fs *FS) List(prefix string) []string {
 	prefix = clean(prefix)
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
 	var out []string
 	for p := range fs.files {
 		if strings.HasPrefix(p, prefix) {

@@ -3,7 +3,6 @@ package sysfs
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 )
 
@@ -137,24 +136,64 @@ func TestList(t *testing.T) {
 	}
 }
 
-func TestConcurrentAccess(t *testing.T) {
+// TestOwnerInterleavedAccess pins read-after-write under the
+// single-owner contract: one goroutine interleaves writes and reads, and
+// every read returns the most recent successful write.
+func TestOwnerInterleavedAccess(t *testing.T) {
 	fs := New()
 	fs.Create("/x", "0", true)
-	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
-		wg.Add(2)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				fs.Write("/x", fmt.Sprintf("%d", i*100+j))
+		for j := 0; j < 100; j++ {
+			want := fmt.Sprintf("%d", i*100+j)
+			if err := fs.Write("/x", want); err != nil {
+				t.Fatal(err)
 			}
-		}(i)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				fs.Read("/x")
+			if got, err := fs.Read("/x"); err != nil || got != want {
+				t.Fatalf("Read after Write(%q) = %q, %v", want, got, err)
 			}
-		}()
+		}
 	}
-	wg.Wait()
+}
+
+// TestGenMovesOnStoredValueChanges: the generation moves on every change
+// to a stored value — successful Write, Set, Create, RestoreValues — and
+// on nothing else: reads, rejected writes and wiring leave it in place.
+func TestGenMovesOnStoredValueChanges(t *testing.T) {
+	fs := New()
+	moves := func(name string, want bool, op func()) {
+		t.Helper()
+		before := fs.Gen()
+		op()
+		if moved := fs.Gen() != before; moved != want {
+			t.Fatalf("%s: Gen moved = %v, want %v", name, moved, want)
+		}
+	}
+	moves("Create", true, func() { fs.Create("/a", "1", true) })
+	moves("Create read-only", true, func() { fs.Create("/ro", "1", false) })
+	moves("Write", true, func() { _ = fs.Write("/a", "2") })
+	moves("Write same value", true, func() { _ = fs.Write("/a", "2") })
+	moves("Set", true, func() { fs.Set("/ro", "3") })
+	moves("RestoreValues", true, func() {
+		if err := fs.RestoreValues(map[string]string{"/a": "4"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	moves("Read", false, func() { _, _ = fs.Read("/a") })
+	moves("Exists/List/Export", false, func() { fs.Exists("/a"); fs.List("/"); fs.Export() })
+	moves("Write missing", false, func() { _ = fs.Write("/nope", "1") })
+	moves("Write read-only", false, func() { _ = fs.Write("/ro", "1") })
+	moves("CreateDynamic", false, func() { fs.CreateDynamic("/dyn", func(string) string { return "d" }) })
+	moves("OnWrite", false, func() { fs.OnWrite("/a", func(_, _, v string) error { return hookVerdict(v) }) })
+	moves("hook-rejected Write", false, func() { _ = fs.Write("/a", "bad") })
+	moves("SetInterceptor", false, func() { fs.SetInterceptor(func(_, v string) error { return hookVerdict(v) }) })
+	moves("intercepted Write", false, func() { _ = fs.Write("/a", "bad") })
+	moves("accepted Write", true, func() { _ = fs.Write("/a", "5") })
+}
+
+func hookVerdict(v string) error {
+	if v == "bad" {
+		return ErrInvalid
+	}
+	return nil
 }

@@ -225,6 +225,13 @@ type Task struct {
 	jitterUntil time.Duration
 	backlog     float64 // unmet paced instructions carried over
 	dropped     float64 // paced instructions dropped at backlog overflow
+
+	// touchRate and touchL memoize Touches' Poisson threshold
+	// exp(-touchRate) for the last per-step rate it saw. The memo is
+	// derived state: a zero or different rate forces a recompute, so
+	// Reset, Restore and phase switches need no special handling.
+	touchRate float64
+	touchL    float64
 }
 
 // NewTask instantiates a spec with a deterministic seed.
@@ -560,9 +567,12 @@ func (t *Task) Touches(dt time.Duration) int {
 	if rate <= 0 {
 		return 0
 	}
+	if rate != t.touchRate {
+		t.touchRate, t.touchL = rate, math.Exp(-rate)
+	}
 	// Poisson via inversion; rates per step are ≪ 1.
 	n := 0
-	l := math.Exp(-rate)
+	l := t.touchL
 	p := t.rng.Float64()
 	for p > l {
 		n++
