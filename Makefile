@@ -129,12 +129,14 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping"; \
 	fi
 
-# Short fuzz passes: the sysfs path canonicalizer and the scenario
-# spec parser/compiler (seed corpora in the fuzz targets). Not part of
-# `ci`: the CI workflow runs it as its own time-boxed step.
+# Short fuzz passes: the sysfs path canonicalizer, the scenario spec
+# parser/compiler and the closed-form accumulator fpacc.AddK against its
+# literal loop (seed corpora in the fuzz targets). Not part of `ci`: the
+# CI workflow runs it as its own time-boxed step.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzClean -fuzztime=15s ./internal/sysfs/
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioSpec -fuzztime=15s ./internal/scenario/
+	$(GO) test -run='^$$' -fuzz=FuzzAddK -fuzztime=15s ./internal/fpacc/
 
 # The campaign-scale benchmarks (quick Table III, serial vs parallel
 # with a reported speedup metric). Not part of `ci` — they simulate

@@ -19,6 +19,14 @@
 // probe-and-jump per binade — logarithmic in k — while returning the
 // bit-identical sequential result.
 //
+// Two things keep the closed form cheap at the span lengths the
+// simulator produces (mostly tens of steps). Runs of at most shortRun
+// adds take the literal loop, which costs about a nanosecond per add
+// and is bit-identical by definition. And normal numbers read their
+// binade exponent straight from the bits instead of calling
+// math.Frexp/Ldexp; zero, subnormals, Inf and NaN still go through
+// Frexp, so every branch decision is the same.
+//
 // The simulation engine (internal/sim) uses AddK to integrate monitor
 // energy, PMU counters and task progress over variable-length quiescent
 // intervals in closed form. A test-only reference loop in internal/sim
@@ -28,17 +36,26 @@ package fpacc
 
 import "math"
 
+// shortRun is the longest run AddK adds literally. Below it the literal
+// loop (about 1 ns per add) beats the probe-and-jump (about 30 ns per
+// call); re-measure with BenchmarkAddK when changing the closed form.
+const shortRun = 24
+
 // AddK returns the bit-identical result of
 //
 //	for i := 0; i < k; i++ { a += c }
 //
 // in time logarithmic in k for the regime the simulator uses
-// (non-negative accumulator, positive finite increment). Outside that
-// regime it degrades gracefully: zero/NaN/Inf increments absorb in one
-// add, the negative regime is handled by sign symmetry, and anything
-// else falls back to the literal loop.
+// (non-negative accumulator, positive finite increment); runs of at
+// most shortRun adds take the literal loop. Outside that regime it
+// degrades gracefully: zero/NaN/Inf increments absorb in one add, the
+// negative regime is handled by sign symmetry, and anything else falls
+// back to the literal loop.
 func AddK(a, c float64, k int) float64 {
-	if k <= 0 {
+	if k <= shortRun {
+		for ; k > 0; k-- {
+			a += c
+		}
 		return a
 	}
 	if c == 0 || math.IsNaN(c) || math.IsNaN(a) || math.IsInf(c, 0) || math.IsInf(a, 0) {
@@ -123,8 +140,7 @@ func addKPos(a, c float64, k int) float64 {
 // binade ulp and stay below the binade top, so a + inc·j is exact.
 func jump(pa *float64, c, inc float64, k int) int {
 	a := *pa
-	_, exp := math.Frexp(a)
-	top := math.Ldexp(1, exp)
+	top := binadeTop(a)
 	// Margin: results <= top − 3c − 4·inc keep every skipped addition's
 	// real sum strictly inside the binade even after the float rounding
 	// of the margin arithmetic itself (inc >= ulp covers the slack).
@@ -153,7 +169,34 @@ func jump(pa *float64, c, inc float64, k int) int {
 // i.e. lie on the same ulp grid. (For subnormals the grid is uniform,
 // so equal Frexp exponents remain a sufficient condition.)
 func sameBinade(x, y float64) bool {
-	_, ex := math.Frexp(x)
-	_, ey := math.Frexp(y)
-	return ex == ey
+	return binadeExp(x) == binadeExp(y)
+}
+
+// expField extracts the biased exponent field of x: 0 for zero and
+// subnormals, 0x7ff for Inf and NaN, the binade otherwise.
+func expField(x float64) uint64 {
+	return math.Float64bits(x) >> 52 & 0x7ff
+}
+
+// binadeExp returns the exponent math.Frexp(x) would. Normal numbers
+// read it straight from the exponent field; zero, subnormals, Inf and
+// NaN go through Frexp.
+func binadeExp(x float64) int {
+	if e := expField(x); e != 0 && e != 0x7ff {
+		return int(e) - 1022
+	}
+	_, e := math.Frexp(x)
+	return e
+}
+
+// binadeTop returns math.Ldexp(1, binadeExp(x)), the power of two just
+// above |x|'s binade. For normal x it is built from the bits: the next
+// exponent field with a zero mantissa, which is +Inf past the largest
+// binade exactly as Ldexp overflows.
+func binadeTop(x float64) float64 {
+	if e := expField(x); e != 0 && e != 0x7ff {
+		return math.Float64frombits((e + 1) << 52)
+	}
+	_, e := math.Frexp(x)
+	return math.Ldexp(1, e)
 }

@@ -1,6 +1,7 @@
 package fpacc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,17 +152,102 @@ func TestAddKMatchesSimulatorAccumulators(t *testing.T) {
 	}
 }
 
+// TestBinadeBitsMatchFrexp pins the bit-level exponent read against
+// math.Frexp/Ldexp: binadeExp must equal Frexp's exponent and binadeTop
+// must equal Ldexp(1, exp) at every class of input, or AddK's branch
+// decisions would move.
+func TestBinadeBitsMatchFrexp(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), // smallest, largest subnormal
+		0x1p-1022, math.Nextafter(0x1p-1022, 0), math.Nextafter(0x1p-1022, 1), // MinNormal and neighbours
+		math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for e := -1022; e <= 1023; e += 7 {
+		p := math.Ldexp(1, e)
+		xs = append(xs, p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)), -p)
+	}
+	rng := rand.New(rand.NewSource(0xb17e))
+	for i := 0; i < 2000; i++ {
+		xs = append(xs, math.Ldexp(1+rng.Float64(), rng.Intn(2046)-1022))
+	}
+	for _, x := range xs {
+		_, want := math.Frexp(x)
+		if got := binadeExp(x); got != want {
+			t.Fatalf("binadeExp(%g) = %d, want Frexp's %d", x, got, want)
+		}
+		top, wantTop := binadeTop(x), math.Ldexp(1, want)
+		if math.Float64bits(top) != math.Float64bits(wantTop) {
+			t.Fatalf("binadeTop(%g) = %g, want Ldexp's %g", x, top, wantTop)
+		}
+	}
+}
+
+// TestAddKAroundShortRun checks run lengths either side of the literal-
+// loop crossover, with the accumulator a few steps below a binade top so
+// the run crosses it, plainly and under round-to-nearest-even ties.
+func TestAddKAroundShortRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x5407))
+	for trial := 0; trial < 500; trial++ {
+		top := math.Ldexp(1, rng.Intn(80)-40)
+		c := top * math.Ldexp(1+rng.Float64(), -8)
+		u := math.Nextafter(top/2, top) - top/2 // ulp just below top
+		tie := float64(1+rng.Intn(64))*u + u/2
+		for _, k := range []int{shortRun - 1, shortRun, shortRun + 1} {
+			checkAddK(t, top-c*float64(rng.Intn(k+1)), c, k)
+			checkAddK(t, top-tie*float64(rng.Intn(k+1)), tie, k)
+		}
+	}
+}
+
+// FuzzAddK checks AddK bit for bit against the literal loop. Two NaNs
+// compare equal whatever their payloads: which operand's payload an
+// addition of two NaNs keeps depends on operand order, which the
+// compiler may commute.
+func FuzzAddK(f *testing.F) {
+	f.Add(12.345, 1.8432e-3, 100)
+	f.Add(9.007199254740992e15, 0.5, 2000)
+	f.Add(1e-310, 3e-312, 400)
+	f.Add(-1e-3, -1e-5, 500)
+	f.Add(5.0, -1e-3, 30)
+	f.Add(1e308, 1e308, 10)
+	f.Fuzz(func(t *testing.T, a, c float64, k int) {
+		k %= 1 << 14
+		got, want := AddK(a, c, k), naiveAddK(a, c, k)
+		if math.IsNaN(got) && math.IsNaN(want) {
+			return
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("AddK(%v, %v, %d) = %v (%#x), want %v (%#x)",
+				a, c, k, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}
+
+// BenchmarkAddK times AddK against its two halves at span-typical run
+// lengths (4, 24, 100 steps) and an idle-hour-scale one: closed-form is
+// the probe-and-jump alone and naive the literal loop. shortRun sits
+// where the two cross.
 func BenchmarkAddK(b *testing.B) {
-	b.Run("closed-form-180k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = AddK(12.345, 1.8432e-3, 180000)
-		}
-	})
-	b.Run("naive-180k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink = naiveAddK(12.345, 1.8432e-3, 180000)
-		}
-	})
+	const a, c = 12.345, 1.8432e-3
+	for _, k := range []int{4, shortRun, 100, 180000} {
+		b.Run(fmt.Sprintf("addk-%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = AddK(a, c, k)
+			}
+		})
+		b.Run(fmt.Sprintf("closed-form-%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = addKPos(a, c, k)
+			}
+		})
+		b.Run(fmt.Sprintf("naive-%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sink = naiveAddK(a, c, k)
+			}
+		})
+	}
 }
 
 var sink float64

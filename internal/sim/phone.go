@@ -633,12 +633,8 @@ func (p *Phone) spanBudget(dt time.Duration, limit int) int {
 			}
 			continue
 		}
-		b := ft.task.SpanBound(ft.sp, dt)
-		if b <= 0 {
+		if k = ft.task.SpanBound(ft.sp, dt, k); k <= 0 {
 			return 0
-		}
-		if b < k {
-			k = b
 		}
 	}
 	return k

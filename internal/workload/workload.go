@@ -407,10 +407,6 @@ type StepPlan struct {
 	Done     bool    // task was already done (step skipped it)
 }
 
-// unboundedSteps is SpanBound's "no task-side limit" answer; callers
-// min() it against engine-side bounds.
-const unboundedSteps = math.MaxInt32
-
 // ceilSteps returns how many dt-steps fit strictly before deadline a,
 // counting the step that crosses it: the largest k with (k-1)·dt < a.
 func ceilSteps(a, dt time.Duration) int {
@@ -420,12 +416,13 @@ func ceilSteps(a, dt time.Duration) int {
 	return int((a + dt - 1) / dt)
 }
 
-// SpanBound returns how many consecutive dt-steps the task can repeat
-// sp before its demand could change: during those steps Demand would
-// return the same WantedInstr with the same clamp decision and no rng
-// draw would occur. 0 means the next step must run the slow path. The
-// bound may include the step that ends a paced phase or a windowed
-// batch (Advance handles the transition), but never extends past it.
+// SpanBound returns how many consecutive dt-steps, at most limit, the
+// task can repeat sp before what it executes could change: during those
+// steps the step would execute exactly sp.Exec with the same clamp
+// decision and no rng draw would occur. 0 means the next step must run
+// the slow path. The bound may include the step that ends a paced phase
+// or a windowed batch (Advance handles the transition), but never
+// extends past it.
 //
 // A paced phase is capped at its next jitter resample, with one
 // exception: a steadily-served phase whose jitter is disabled (σ = 0)
@@ -434,15 +431,20 @@ func ceilSteps(a, dt time.Duration) int {
 // cannot change the demand. The resample deadline then goes stale,
 // which is harmless: Demand refreshes it lazily on the next slow step,
 // and no observable depends on it.
-func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
-	if t.done || sp.Done || t.phaseIdx != sp.PhaseIdx {
+//
+// A starved paced phase draining its backlog (demand alone below
+// capacity) stays clamped at sp.MaxInstr while demand plus backlog
+// exceeds it. SpanBound replays Advance's backlog recurrence to find the
+// first step that would be served, so the replay costs O(limit).
+func (t *Task) SpanBound(sp StepPlan, dt time.Duration, limit int) int {
+	if t.done || sp.Done || t.phaseIdx != sp.PhaseIdx || limit <= 0 {
 		return 0
 	}
 	p := &t.Spec.Phases[t.phaseIdx]
 	switch p.Kind {
 	case Batch:
 		remaining := p.InstrBudget - t.phaseExec
-		k := unboundedSteps
+		k := limit
 		switch {
 		case sp.Served && sp.Exec == 0 && remaining <= 0:
 			// Windowed batch idling out its window: demand stays zero
@@ -458,7 +460,7 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
 			// phaseExec accumulates sequentially in floating point, so
 			// keep a two-step safety margin from the exact boundary.
 			m := (remaining - sp.MaxInstr) / sp.MaxInstr
-			if m < float64(unboundedSteps) {
+			if m < float64(k)+1 {
 				k = int(m) - 1
 			}
 			if k < 1 {
@@ -477,11 +479,10 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
 		// re-evaluated), and past it the demand may change. The one
 		// provable exception is σ = 0 with the multiplier already at its
 		// fixed point in a served phase.
-		k := unboundedSteps
+		k := limit
 		if !(sp.Served && p.DemandJitter <= 0 && t.jitterMul == 1) {
-			k = ceilSteps(t.jitterUntil-t.now, dt)
-			if k <= 0 {
-				return 0
+			if kj := ceilSteps(t.jitterUntil-t.now, dt); kj < k {
+				k = kj
 			}
 		}
 		if kp := ceilSteps(p.Duration-t.phaseElapsed, dt); kp < k {
@@ -497,17 +498,43 @@ func (t *Task) SpanBound(sp StepPlan, dt time.Duration) int {
 			if t.backlog != 0 || want != sp.Exec {
 				return 0
 			}
-		} else {
-			// Starved: the clamp persists only while demand alone
-			// exceeds capacity; a draining backlog (want < capacity)
-			// changes exec per step and must run slow.
-			if want < sp.MaxInstr {
-				return 0
-			}
+		} else if want < sp.MaxInstr {
+			// Draining: demand alone fits, so the clamp holds only while
+			// the backlog tops it up past capacity.
+			return t.drainSteps(p, want, sp, k)
 		}
+		// Starved with demand alone at or above capacity: every step
+		// stays clamped whatever the backlog.
 		return k
 	}
 	return 0
+}
+
+// drainSteps counts the leading steps, at most k, whose demand plus
+// backlog stays above sp.MaxInstr, replaying Advance's backlog
+// recurrence with the same expressions so every step rounds as the
+// literal loop would.
+func (t *Task) drainSteps(p *Phase, want float64, sp StepPlan, k int) int {
+	backlogSec := p.BacklogSec
+	if backlogSec <= 0 {
+		backlogSec = defaultBacklogSec
+	}
+	cap := p.DemandGIPS * 1e9 * backlogSec
+	b := t.backlog
+	for i := 0; i < k; i++ {
+		if !(want+b > sp.MaxInstr) {
+			return i
+		}
+		unmet := want + b - sp.Exec
+		if unmet < 0 {
+			unmet = 0
+		}
+		if unmet > cap {
+			unmet = cap
+		}
+		b = unmet
+	}
+	return k
 }
 
 // AdvanceSpan reports n identical steps — bit-identically to n
